@@ -7,15 +7,14 @@ implementation runs one breadth-first search per endpoint and never
 touches the router.  This benchmark guards both properties:
 
 * correctness -- the BFS statistics match independent per-pair
-  shortest-path computations (and closed-form path latencies on a
-  unique-path fabric), and
+  hop-weighted Dijkstra paths from ``repro.fabric.routing.shortest_path``
+  (and closed-form path latencies on a unique-path fabric), and
 * the complexity claim -- the router cache sees zero traffic, and a
   64-endpoint rack completes within a generous wall-clock bound.
 """
 
 import time
 
-import networkx as nx
 import pytest
 
 from repro.experiments.harness import (
@@ -24,6 +23,7 @@ from repro.experiments.harness import (
     fabric_state_row,
 )
 from repro.fabric.fabric import Fabric
+from repro.fabric.routing import shortest_path
 from repro.fabric.topology import TopologyBuilder
 from repro.sim.units import bits_from_bytes
 
@@ -39,10 +39,10 @@ from repro.sim.units import bits_from_bytes
 def test_fabric_state_row_matches_pairwise_shortest_paths(fabric_factory):
     fabric = fabric_factory()
     row = fabric_state_row(fabric)
-    graph = fabric.topology.graph
-    endpoints = fabric.topology.endpoints()
+    topology = fabric.topology
+    endpoints = topology.endpoints()
     hops = [
-        nx.shortest_path_length(graph, src, dst)
+        len(shortest_path(topology, src, dst)) - 1
         for index, src in enumerate(endpoints)
         for dst in endpoints[index + 1:]
     ]

@@ -20,12 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-import networkx as nx
-
 from repro.core.cost import LinkPriceTagger
 from repro.core.reconfiguration import break_even_flow_size
 from repro.fabric.fabric import Fabric
-from repro.fabric.routing import k_shortest_paths, path_links
+from repro.fabric.routing import (
+    NodeNotFoundError,
+    NoPathError,
+    k_shortest_paths,
+    path_links,
+)
 from repro.fabric.topology import merge_directed_values
 from repro.sim.flow import Flow
 
@@ -168,7 +171,7 @@ class FlowScheduler:
             candidates = k_shortest_paths(
                 self.fabric.topology, src, dst, self.candidate_paths
             )
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        except (NoPathError, NodeNotFoundError):
             return None  # pair disconnected (e.g. mid-reconfiguration)
         viable = [
             path

@@ -20,6 +20,8 @@ from repro.fabric.failures import (
 from repro.fabric.node import Node, NodeType
 from repro.fabric.packetsim import PacketBackend, PacketLevelNetwork, PortState
 from repro.fabric.routing import (
+    NodeNotFoundError,
+    NoPathError,
     Router,
     RoutingPolicy,
     ecmp_paths,
@@ -52,6 +54,8 @@ __all__ = [
     "PacketBackend",
     "PacketLevelNetwork",
     "PortState",
+    "NodeNotFoundError",
+    "NoPathError",
     "Router",
     "RoutingPolicy",
     "ecmp_paths",

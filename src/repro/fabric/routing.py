@@ -6,21 +6,34 @@ shortest paths under that price.  This module provides the path computation
 primitives -- single shortest path, k-shortest paths, and ECMP path sets --
 plus a :class:`Router` that caches paths per topology version and is
 invalidated whenever the CRC reconfigures the fabric.
+
+The searches walk the topology's live adjacency
+(:meth:`~repro.fabric.topology.Topology.adjacency`) and evaluate the weight
+function lazily, once per edge relaxation; nothing copies the graph.  They
+are line-for-line ports of NetworkX 3.6.1 (``bidirectional_dijkstra``,
+``shortest_simple_paths`` with its private bidirectional Dijkstra and
+``PathBuffer``, and the single-source Dijkstra behind
+``shortest_path_length``), down to the ``(distance, counter, node)`` heap
+entries, so equal-cost ties break exactly as they did when the fabric was
+a NetworkX ``Graph``: by neighbour insertion order.  As in NetworkX, a
+``None`` weight hides an edge, while an ``inf`` weight (a dark link's
+price) is still relaxed.  ``tests/test_routing_oracle.py`` checks the ports
+against NetworkX itself.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
-from repro.fabric.topology import Topology
+from repro.fabric.topology import NodeNotFoundError, NoPathError, Topology
 from repro.phy.link import Link
 
 PathType = List[str]
 WeightFn = Callable[[Link], float]
+Adjacency = Mapping[str, Mapping[str, Link]]
 
 
 class RoutingPolicy(enum.Enum):
@@ -49,6 +62,19 @@ def inverse_capacity_weight(link: Link) -> float:
     return 1.0 / capacity
 
 
+def _require_nodes(topology: Topology, *names: str) -> Adjacency:
+    """The live adjacency, after checking every name is one of its nodes."""
+    adj = topology.adjacency()
+    for name in names:
+        if name not in adj:
+            raise NodeNotFoundError(name, topology.name)
+    return adj
+
+
+def _path_cost(adj: Adjacency, path: Sequence[str], weight_fn: WeightFn) -> float:
+    return sum(weight_fn(adj[u][v]) for u, v in zip(path, path[1:]))
+
+
 def shortest_path(
     topology: Topology,
     src: str,
@@ -57,11 +83,230 @@ def shortest_path(
 ) -> PathType:
     """Single shortest path from *src* to *dst* as a list of node names.
 
-    Raises :class:`networkx.NetworkXNoPath` when the nodes are disconnected,
-    which callers treat as "the CRC must repair the topology first".
+    Raises :class:`NoPathError` when the nodes are disconnected, which
+    callers treat as "the CRC must repair the topology first", and
+    :class:`NodeNotFoundError` for a name the topology lacks.
     """
-    graph = topology.weighted_graph(weight_fn)
-    return nx.shortest_path(graph, src, dst, weight="weight")
+    adj = _require_nodes(topology, src, dst)
+    if src == dst:
+        return [src]
+    return _bidirectional_dijkstra(adj, src, dst, weight_fn)
+
+
+def _bidirectional_dijkstra(
+    adj: Adjacency, source: str, target: str, weight_fn: WeightFn
+) -> PathType:
+    """Port of NetworkX ``bidirectional_dijkstra`` for distinct nodes."""
+    dists: List[Dict[str, float]] = [{}, {}]
+    preds: List[Dict[str, Optional[str]]] = [{source: None}, {target: None}]
+
+    def path(curr: Optional[str], direction: int) -> PathType:
+        ret = []
+        while curr is not None:
+            ret.append(curr)
+            curr = preds[direction][curr]
+        return list(reversed(ret)) if direction == 0 else ret
+
+    fringe: List[list] = [[], []]
+    seen: List[Dict[str, float]] = [{source: 0}, {target: 0}]
+    c = itertools.count()
+    heappush(fringe[0], (0, next(c), source))
+    heappush(fringe[1], (0, next(c), target))
+    finaldist = None
+    meetnode = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heappop(fringe[direction])
+        done = dists[direction]
+        if v in done:
+            continue
+        done[v] = dist
+        if v in dists[1 - direction]:
+            return path(meetnode, 0) + path(preds[1][meetnode], 1)
+        seen_here = seen[direction]
+        seen_there = seen[1 - direction]
+        for w, link in adj[v].items():
+            cost = weight_fn(link)
+            if cost is None:
+                continue
+            vw_length = dist + cost
+            if w in done:
+                if vw_length < done[w]:
+                    raise ValueError("Contradictory paths found: negative weights?")
+            elif w not in seen_here or vw_length < seen_here[w]:
+                seen_here[w] = vw_length
+                heappush(fringe[direction], (vw_length, next(c), w))
+                preds[direction][w] = v
+                if w in seen_there:
+                    finaldist_w = vw_length + seen_there[w]
+                    if finaldist is None or finaldist > finaldist_w:
+                        finaldist, meetnode = finaldist_w, w
+    raise NoPathError(f"no path between {source!r} and {target!r}")
+
+
+def _dijkstra_length(adj: Adjacency, source: str, target: str, weight_fn: WeightFn) -> float:
+    """Port of NetworkX ``dijkstra_path_length`` (single-source Dijkstra)."""
+    if source == target:
+        return 0
+    dist: Dict[str, float] = {}
+    seen: Dict[str, float] = {source: 0}
+    c = itertools.count()
+    fringe = [(0, next(c), source)]
+    while fringe:
+        dist_v, _, v = heappop(fringe)
+        if v in dist:
+            continue
+        dist[v] = dist_v
+        if v == target:
+            break
+        for u, link in adj[v].items():
+            cost = weight_fn(link)
+            if cost is None:
+                continue
+            vu_dist = dist_v + cost
+            if u in dist:
+                if vu_dist < dist[u]:
+                    raise ValueError("Contradictory paths found: negative weights?")
+            elif u not in seen or vu_dist < seen[u]:
+                seen[u] = vu_dist
+                heappush(fringe, (vu_dist, next(c), u))
+    try:
+        return dist[target]
+    except KeyError:
+        raise NoPathError(f"node {target!r} not reachable from {source!r}") from None
+
+
+def _spur_dijkstra(
+    adj: Adjacency,
+    source: str,
+    target: str,
+    weight_fn: WeightFn,
+    ignore_nodes: Optional[Set[str]] = None,
+    ignore_edges: Optional[Set[Tuple[str, str]]] = None,
+) -> Tuple[float, PathType]:
+    """Port of NetworkX ``simple_paths._bidirectional_dijkstra``.
+
+    Yen's spur search: nodes in *ignore_nodes* and edges in *ignore_edges*
+    (either orientation) are invisible.
+    """
+    if ignore_nodes and (source in ignore_nodes or target in ignore_nodes):
+        raise NoPathError(f"no path between {source!r} and {target!r}")
+    if source == target:
+        return (0, [source])
+
+    def neighbours(v: str) -> Iterator[Tuple[str, Link]]:
+        for w, link in adj[v].items():
+            if ignore_nodes and w in ignore_nodes:
+                continue
+            if ignore_edges and ((v, w) in ignore_edges or (w, v) in ignore_edges):
+                continue
+            yield w, link
+
+    dists: List[Dict[str, float]] = [{}, {}]
+    paths: List[Dict[str, PathType]] = [{source: [source]}, {target: [target]}]
+    fringe: List[list] = [[], []]
+    seen: List[Dict[str, float]] = [{source: 0}, {target: 0}]
+    c = itertools.count()
+    heappush(fringe[0], (0, next(c), source))
+    heappush(fringe[1], (0, next(c), target))
+    finalpath: PathType = []
+    finaldist = 0.0
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heappop(fringe[direction])
+        done = dists[direction]
+        if v in done:
+            continue
+        done[v] = dist
+        if v in dists[1 - direction]:
+            return (finaldist, finalpath)
+        seen_here = seen[direction]
+        paths_here = paths[direction]
+        for w, link in neighbours(v):
+            minweight = weight_fn(link)
+            if minweight is None:
+                continue
+            vw_length = done[v] + minweight
+            if w in done:
+                if vw_length < done[w]:
+                    raise ValueError("Contradictory paths found: negative weights?")
+            elif w not in seen_here or vw_length < seen_here[w]:
+                seen_here[w] = vw_length
+                heappush(fringe[direction], (vw_length, next(c), w))
+                paths_here[w] = paths_here[v] + [w]
+                if w in seen[0] and w in seen[1]:
+                    totaldist = seen[0][w] + seen[1][w]
+                    if finalpath == [] or finaldist > totaldist:
+                        finaldist = totaldist
+                        revpath = paths[1][w][:]
+                        revpath.reverse()
+                        finalpath = paths[0][w] + revpath[1:]
+    raise NoPathError(f"no path between {source!r} and {target!r}")
+
+
+class _PathBuffer:
+    """Port of NetworkX ``simple_paths.PathBuffer``."""
+
+    def __init__(self) -> None:
+        self.paths: Set[Tuple[str, ...]] = set()
+        self.sortedpaths: list = []
+        self.counter = itertools.count()
+
+    def __len__(self) -> int:
+        return len(self.sortedpaths)
+
+    def push(self, cost: float, path: PathType) -> None:
+        hashable_path = tuple(path)
+        if hashable_path not in self.paths:
+            heappush(self.sortedpaths, (cost, next(self.counter), path))
+            self.paths.add(hashable_path)
+
+    def pop(self) -> PathType:
+        _, _, path = heappop(self.sortedpaths)
+        self.paths.remove(tuple(path))
+        return path
+
+
+def _shortest_simple_paths(
+    adj: Adjacency, source: str, target: str, weight_fn: WeightFn
+) -> Iterator[PathType]:
+    """Port of NetworkX ``shortest_simple_paths`` (Yen's algorithm)."""
+    list_a: List[PathType] = []
+    list_b = _PathBuffer()
+    prev_path: Optional[PathType] = None
+    while True:
+        if not prev_path:
+            length, path = _spur_dijkstra(adj, source, target, weight_fn)
+            list_b.push(length, path)
+        else:
+            ignore_nodes: Set[str] = set()
+            ignore_edges: Set[Tuple[str, str]] = set()
+            for i in range(1, len(prev_path)):
+                root = prev_path[:i]
+                root_length = _path_cost(adj, root, weight_fn)
+                for path in list_a:
+                    if path[:i] == root:
+                        ignore_edges.add((path[i - 1], path[i]))
+                try:
+                    length, spur = _spur_dijkstra(
+                        adj, root[-1], target, weight_fn,
+                        ignore_nodes=ignore_nodes, ignore_edges=ignore_edges,
+                    )
+                    path = root[:-1] + spur
+                    list_b.push(root_length + length, path)
+                except NoPathError:
+                    pass
+                ignore_nodes.add(root[-1])
+
+        if list_b:
+            path = list_b.pop()
+            yield path
+            list_a.append(path)
+            prev_path = path
+        else:
+            break
 
 
 def k_shortest_paths(
@@ -74,9 +319,8 @@ def k_shortest_paths(
     """Up to *k* loop-free shortest paths in non-decreasing cost order."""
     if k <= 0:
         raise ValueError(f"k must be positive, got {k!r}")
-    graph = topology.weighted_graph(weight_fn)
-    generator = nx.shortest_simple_paths(graph, src, dst, weight="weight")
-    return list(itertools.islice(generator, k))
+    adj = _require_nodes(topology, src, dst)
+    return list(itertools.islice(_shortest_simple_paths(adj, src, dst, weight_fn), k))
 
 
 def ecmp_paths(
@@ -86,14 +330,11 @@ def ecmp_paths(
     weight_fn: WeightFn = hop_weight,
 ) -> List[PathType]:
     """All equal-minimum-cost paths between *src* and *dst*."""
-    graph = topology.weighted_graph(weight_fn)
-    best_cost = nx.shortest_path_length(graph, src, dst, weight="weight")
+    adj = _require_nodes(topology, src, dst)
+    best_cost = _dijkstra_length(adj, src, dst, weight_fn)
     paths: List[PathType] = []
-    for path in nx.shortest_simple_paths(graph, src, dst, weight="weight"):
-        cost = sum(
-            graph.edges[path[i], path[i + 1]]["weight"] for i in range(len(path) - 1)
-        )
-        if cost > best_cost + 1e-12:
+    for path in _shortest_simple_paths(adj, src, dst, weight_fn):
+        if _path_cost(adj, path, weight_fn) > best_cost + 1e-12:
             break
         paths.append(path)
     return paths

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.fabric.node import Node, NodeType
 from repro.phy.fec import FEC_RS528, FecScheme
@@ -54,12 +52,33 @@ def merge_directed_values(directed):
     return merged
 
 
+class NoPathError(Exception):
+    """No path joins two nodes (or the whole topology is not connected).
+
+    Callers treat it as "the CRC must repair the topology first".
+    """
+
+
+class NodeNotFoundError(Exception):
+    """A graph query named a node the topology does not have."""
+
+    def __init__(self, name: str, topology: str) -> None:
+        super().__init__(f"node {name!r} is not in topology {topology!r}")
+        self.node = name
+
+
 class Topology:
-    """A mutable rack-fabric topology."""
+    """A mutable rack-fabric topology.
+
+    The adjacency is owned here: ``name -> {neighbour: Link}`` dicts in
+    insertion order, so a removed and re-added link moves to the end of
+    both endpoints' neighbour lists.  Routing (:mod:`repro.fabric.routing`)
+    walks it directly; equal-cost ties break in this order.
+    """
 
     def __init__(self, name: str = "fabric") -> None:
         self.name = name
-        self._graph = nx.Graph()
+        self._adj: Dict[str, Dict[str, Link]] = {}
         self._nodes: Dict[str, Node] = {}
         self._links: Dict[LinkKey, Link] = {}
         #: Registered topology-family name this graph was built as (e.g.
@@ -78,7 +97,7 @@ class Topology:
     def add_node(self, node: Node) -> Node:
         """Add a node; re-adding the same name replaces the stored object."""
         self._nodes[node.name] = node
-        self._graph.add_node(node.name)
+        self._adj.setdefault(node.name, {})
         return node
 
     def node(self, name: str) -> Node:
@@ -117,7 +136,9 @@ class Topology:
         if key in self._links:
             raise ValueError(f"a link between {key} already exists")
         self._links[key] = link
-        self._graph.add_edge(*key)
+        a, b = key
+        self._adj[a][b] = link
+        self._adj[b][a] = link
         return link
 
     def remove_link(self, a: str, b: str) -> Link:
@@ -126,7 +147,9 @@ class Topology:
         if key not in self._links:
             raise KeyError(f"no link between {a!r} and {b!r}")
         link = self._links.pop(key)
-        self._graph.remove_edge(*key)
+        a, b = key
+        del self._adj[a][b]
+        del self._adj[b][a]
         return link
 
     def has_link(self, a: str, b: str) -> bool:
@@ -146,42 +169,73 @@ class Topology:
         return list(self._links.keys())
 
     def neighbors(self, name: str) -> List[str]:
-        """Names of nodes adjacent to *name*."""
-        return list(self._graph.neighbors(name))
+        """Names of nodes adjacent to *name*, in link insertion order."""
+        return list(self._neighbours(name))
 
     def degree(self, name: str) -> int:
         """Number of links attached to *name*."""
-        return self._graph.degree(name)
+        return len(self._neighbours(name))
+
+    def _neighbours(self, name: str) -> Dict[str, Link]:
+        try:
+            return self._adj[name]
+        except KeyError:
+            raise NodeNotFoundError(name, self.name) from None
 
     # ------------------------------------------------------------------ #
     # Graph-level queries
     # ------------------------------------------------------------------ #
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying (live) networkx graph.  Mutate through Topology only."""
-        return self._graph
+    def adjacency(self) -> Mapping[str, Mapping[str, Link]]:
+        """The live ``name -> {neighbour: Link}`` adjacency (read-only by contract)."""
+        return self._adj
 
-    def weighted_graph(self, weight_fn: Callable[[Link], float]) -> nx.Graph:
-        """A copy of the graph with ``weight`` edge attributes from *weight_fn*."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self._graph.nodes)
-        for key, link in self._links.items():
-            graph.add_edge(*key, weight=weight_fn(link))
-        return graph
+    def _hop_distances(self, source: str) -> Dict[str, int]:
+        """Breadth-first hop counts from *source* to every reachable node."""
+        adj = self._adj
+        distances = {source: 0}
+        frontier = [source]
+        level = 0
+        while frontier:
+            level += 1
+            next_frontier = []
+            for name in frontier:
+                for neighbour in adj[name]:
+                    if neighbour not in distances:
+                        distances[neighbour] = level
+                        next_frontier.append(neighbour)
+            frontier = next_frontier
+        return distances
 
     def is_connected(self) -> bool:
         """Whether every node can reach every other node."""
-        if self._graph.number_of_nodes() == 0:
+        if not self._adj:
             return True
-        return nx.is_connected(self._graph)
+        return len(self._hop_distances(next(iter(self._adj)))) == len(self._adj)
+
+    def _all_hop_distances(self) -> List[Dict[str, int]]:
+        """Per-node BFS hop counts; :class:`NoPathError` unless connected."""
+        rows = [self._hop_distances(name) for name in self._adj]
+        if any(len(row) != len(self._adj) for row in rows):
+            raise NoPathError(f"topology {self.name!r} is not connected")
+        return rows
 
     def diameter(self) -> int:
         """Longest shortest path (in hops) between any node pair."""
-        return nx.diameter(self._graph)
+        return max(max(row.values()) for row in self._all_hop_distances())
 
     def average_shortest_path_hops(self) -> float:
-        """Mean shortest-path length in hops over all node pairs."""
-        return nx.average_shortest_path_length(self._graph)
+        """Mean shortest-path length in hops over all ordered node pairs.
+
+        The integer hop sum divided by ``n * (n - 1)``, as NetworkX's
+        ``average_shortest_path_length`` computes it.
+        """
+        n = len(self._adj)
+        if n == 0:
+            raise NoPathError(f"topology {self.name!r} has no nodes")
+        if n == 1:
+            return 0
+        hops = sum(sum(row.values()) for row in self._all_hop_distances())
+        return hops / (n * (n - 1))
 
     def total_lanes(self) -> int:
         """Total physical lanes across all links (the paper's lane budget)."""

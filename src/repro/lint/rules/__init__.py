@@ -1,5 +1,5 @@
 """Built-in rule families; importing this package registers them all."""
 
-from repro.lint.rules import determinism, parity_rule, registry_docs, units
+from repro.lint.rules import dependencies, determinism, parity_rule, registry_docs, units
 
-__all__ = ["determinism", "parity_rule", "registry_docs", "units"]
+__all__ = ["dependencies", "determinism", "parity_rule", "registry_docs", "units"]

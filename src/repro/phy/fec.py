@@ -16,6 +16,7 @@ overhead) is what the control loop exploits, and that ordering is faithful.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
@@ -111,7 +112,18 @@ def post_fec_ber(raw_ber: float, scheme: FecScheme) -> float:
         return raw_ber
     if raw_ber == 0.0:
         return 0.0
+    return _post_fec_ber_series(raw_ber, scheme)
 
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _post_fec_ber_series(raw_ber: float, scheme: FecScheme) -> float:
+    """The lgamma tail series of :func:`post_fec_ber`, memoised.
+
+    A pure function of ``(raw_ber, scheme)`` (``FecScheme`` is frozen, so
+    hashable); the control loop prices the same links over and over with
+    unchanged inputs.  ``typed`` keeps ``1`` and ``1.0`` apart, since the
+    series can return *raw_ber* itself.
+    """
     n = scheme.block_symbols
     t = scheme.correctable_symbols
     p_symbol = _symbol_error_rate(raw_ber, scheme.symbol_size_bits)

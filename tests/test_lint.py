@@ -42,6 +42,7 @@ from repro.lint.parity import (
     split_reference,
 )
 from repro.lint.parity_pairs import PARITY_PAIRS
+from repro.lint.rules.dependencies import declared_dependencies
 from repro.lint.rules.parity_rule import check_pairs
 from repro.lint.rules.registry_docs import (
     check_family_moves,
@@ -65,7 +66,7 @@ def lint_source(rel: str, text: str, codes):
 # --------------------------------------------------------------------------- #
 def test_rule_catalog_contains_the_documented_families():
     codes = {rule.code for rule in rule_catalog()}
-    assert {"D001", "D002", "D003", "U101", "R201"} <= codes
+    assert {"D001", "D002", "D003", "U101", "R201", "R202"} <= codes
 
 
 def test_duplicate_rule_code_is_a_registration_error():
@@ -395,6 +396,64 @@ def test_r201_declared_table_keys_reads_module_level_dict_literals():
     assert tables["TOLERANCES"] == {"a", "b"}
     assert tables["X"] == {"c"}
     assert "OTHER" not in tables
+
+
+# --------------------------------------------------------------------------- #
+# R202: third-party imports must be declared dependencies
+# --------------------------------------------------------------------------- #
+def _lint_package(tmp_path: Path, dependencies: str, body: str):
+    (tmp_path / "pyproject.toml").write_text(
+        f"[project]\nname = 'x'\ndependencies = {dependencies}\n"
+        "[project.optional-dependencies]\ntest = ['graphlib-extra']\n"
+    )
+    package = tmp_path / "src" / "repro" / "fabric"
+    package.mkdir(parents=True)
+    (package / "routing.py").write_text(body)
+    files = collect_files([tmp_path / "src"], tmp_path)
+    return run_rules(files, resolve_rules(["R202"])).findings
+
+
+R202_BODY = (
+    "from __future__ import annotations\n"
+    "import heapq, os.path\n"
+    "import numpy as np\n"
+    "from repro.fabric.topology import Topology\n"
+    "from . import sibling\n"
+    "def lazy():\n"
+    "    import networkx.algorithms\n"
+)
+
+
+def test_r202_flags_an_undeclared_third_party_import(tmp_path):
+    findings = _lint_package(tmp_path, "['numpy']", R202_BODY)
+    assert [(f.rule, f.line) for f in findings] == [("R202", 7)]
+    assert "'networkx'" in findings[0].message
+
+
+def test_r202_passes_when_every_import_is_declared(tmp_path):
+    findings = _lint_package(tmp_path, "['NumPy>=1.20', 'networkx[default]==3.6.1']", R202_BODY)
+    assert findings == []
+
+
+def test_r202_reads_only_project_dependencies():
+    text = (
+        "[build-system]\nrequires = ['setuptools']\n"
+        "[project]\nname = 'x'\n"
+        "dependencies = [\n  'Foo.Bar>=1',  # a ] in a comment\n"
+        "  \"baz[extra]; python_version < '3.10'\",\n]\n"
+        "[[project.authors]]\nname = 'y'\n"
+        "[tool.other]\ndependencies = ['not-this']\n"
+    )
+    assert declared_dependencies(text) == {"foo_bar", "baz"}
+    assert declared_dependencies("[project]\nname = 'x'\n") == frozenset()
+
+
+def test_r202_checked_in_stdlib_list_covers_the_live_tree(monkeypatch):
+    """Python 3.9 has no sys.stdlib_module_names; the checked-in list must
+    still pass every stdlib import the package makes."""
+    monkeypatch.delattr(sys, "stdlib_module_names", raising=False)
+    files = collect_files([REPO_ROOT / "src" / "repro"], REPO_ROOT)
+    assert run_rules(files, resolve_rules(["R202"])).findings == []
 
 
 # --------------------------------------------------------------------------- #
